@@ -69,16 +69,13 @@ func Save(h hv.Hypervisor, id hv.VMID) (*Image, error) {
 	mem := h.Machine().Mem
 	perExtent, err := par.Map(vm.Space.Extents(), func(_ int, e uisr.PageExtent) ([]PageRecord, error) {
 		var recs []PageRecord
-		for p := uint64(0); p < e.Pages(); p++ {
-			mfn := hw.MFN(e.MFN + p)
-			if !mem.Touched(mfn) {
-				continue
-			}
+		for _, mfn := range mem.AppendTouched(nil, hw.MFN(e.MFN), e.Pages()) {
+			// Read, not ReadInto: each record owns its bytes.
 			data, err := mem.Read(mfn, 0, hw.PageSize4K)
 			if err != nil {
 				return nil, err
 			}
-			recs = append(recs, PageRecord{GFN: hw.GFN(e.GFN + p), Data: data})
+			recs = append(recs, PageRecord{GFN: hw.GFN(e.GFN + uint64(mfn) - e.MFN), Data: data})
 		}
 		return recs, nil
 	})

@@ -1,6 +1,7 @@
 package guest
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -8,8 +9,10 @@ import (
 )
 
 // fakeMem is a simple in-process Memory for unit-testing the guest in
-// isolation from any hypervisor.
+// isolation from any hypervisor. WriteWorkingSet writes distinct pages
+// from the par pool, so the page map is guarded like the real one.
 type fakeMem struct {
+	mu    sync.Mutex
 	pages map[hw.GFN][]byte
 	n     uint64
 }
@@ -19,6 +22,8 @@ func newFakeMem(pages uint64) *fakeMem {
 }
 
 func (f *fakeMem) WritePage(gfn hw.GFN, off int, data []byte) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	p, ok := f.pages[gfn]
 	if !ok {
 		p = make([]byte, hw.PageSize4K)
@@ -29,6 +34,8 @@ func (f *fakeMem) WritePage(gfn hw.GFN, off int, data []byte) error {
 }
 
 func (f *fakeMem) ReadPage(gfn hw.GFN, off, n int) ([]byte, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	out := make([]byte, n)
 	if p, ok := f.pages[gfn]; ok {
 		copy(out, p[off:off+n])

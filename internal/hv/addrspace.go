@@ -227,20 +227,20 @@ func (as *AddressSpace) CopyContentsTo(dst *AddressSpace) error {
 	}
 	// Extents are disjoint in GFN space, so each worker replays a disjoint
 	// set of destination pages; the dirty log (if enabled on dst) is the
-	// only shared structure and WritePage guards it.
-	return par.ForEach(len(as.extents), func(i int) error {
-		e := as.extents[i]
-		for p := uint64(0); p < e.Pages(); p++ {
-			mfn := hw.MFN(e.MFN + p)
-			if !as.mem.Touched(mfn) {
-				continue
-			}
-			data, err := as.mem.Read(mfn, 0, hw.PageSize4K)
-			if err != nil {
-				return err
-			}
-			if err := dst.WritePage(hw.GFN(e.GFN+p), 0, data); err != nil {
-				return err
+	// only shared structure and WritePage guards it. Each span reuses one
+	// frame list and one page buffer: Write copies out of the buffer.
+	return par.ForEachSpan(len(as.extents), func(lo, hi int) error {
+		var touched []hw.MFN
+		buf := make([]byte, hw.PageSize4K)
+		for _, e := range as.extents[lo:hi] {
+			touched = as.mem.AppendTouched(touched[:0], hw.MFN(e.MFN), e.Pages())
+			for _, mfn := range touched {
+				if err := as.mem.ReadInto(mfn, 0, buf); err != nil {
+					return err
+				}
+				if err := dst.WritePage(hw.GFN(e.GFN+uint64(mfn)-e.MFN), 0, buf); err != nil {
+					return err
+				}
 			}
 		}
 		return nil

@@ -1,6 +1,7 @@
 package hv
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -256,5 +257,135 @@ func TestPropertyTranslate(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCopyContentsTo copies sparse writes — several on 2 MiB chunk edges
+// of the source frames — between every combination of 4K-page and huge-
+// page spaces on machines with skewed placement, and checks that the
+// destination matches page for page. One 4K source maps its frames in
+// reverse GFN order, so GFN and MFN run in opposite directions.
+func TestCopyContentsTo(t *testing.T) {
+	const size = 3 * hw.PageSize2M
+	for _, tc := range []struct {
+		name             string
+		srcHuge, dstHuge bool
+		srcSkew, dstSkew int
+		reversed         bool
+	}{
+		{"4K-to-4K", false, false, 300, 17, false},
+		{"4K-reversed-to-4K", false, false, 5, 0, true},
+		{"huge-to-huge", true, true, 0, 0, false},
+		{"4K-to-huge", false, true, 511, 0, false},
+		{"huge-to-4K", true, false, 0, 3, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			memA, memB := newMem(), newMem()
+			memA.Alloc(tc.srcSkew+1, hw.OwnerHV, -1)
+			memB.Alloc(tc.dstSkew+1, hw.OwnerHV, -1)
+			src, err := AllocAddressSpace(memA, 1, size, tc.srcHuge)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.reversed {
+				ext := src.Extents()
+				rev := make([]uisr.PageExtent, len(ext))
+				for i, e := range ext {
+					rev[i] = uisr.PageExtent{GFN: e.GFN, MFN: ext[len(ext)-1-i].MFN}
+				}
+				if src, err = NewAddressSpace(memA, rev); err != nil {
+					t.Fatal(err)
+				}
+			}
+			dst, err := AllocAddressSpace(memB, 2, size, tc.dstHuge)
+			if err != nil {
+				t.Fatal(err)
+			}
+			edges := 0
+			for gfn := hw.GFN(0); uint64(gfn) < src.NumPages(); gfn++ {
+				mfn, _ := src.Translate(gfn)
+				onEdge := mfn%hw.FramesPer2M == 0 || mfn%hw.FramesPer2M == hw.FramesPer2M-1
+				if !onEdge && gfn%97 != 5 && uint64(gfn) != src.NumPages()-1 {
+					continue
+				}
+				if onEdge {
+					edges++
+				}
+				if err := src.WritePage(gfn, int(gfn)%hw.PageSize4K, []byte{byte(gfn), byte(gfn >> 8), 0xC3}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if edges < 4 {
+				t.Fatalf("only %d writes on chunk edges", edges)
+			}
+			if err := src.CopyContentsTo(dst); err != nil {
+				t.Fatal(err)
+			}
+			cs, _ := src.ChecksumAll()
+			cd, _ := dst.ChecksumAll()
+			if cs != cd {
+				t.Fatalf("checksums differ: src %#x, dst %#x", cs, cd)
+			}
+			for gfn := hw.GFN(0); uint64(gfn) < src.NumPages(); gfn++ {
+				a, errA := src.ReadPage(gfn, 0, hw.PageSize4K)
+				b, errB := dst.ReadPage(gfn, 0, hw.PageSize4K)
+				if errA != nil || errB != nil || !bytes.Equal(a, b) {
+					t.Fatalf("gfn %d differs after copy (%v, %v)", gfn, errA, errB)
+				}
+			}
+		})
+	}
+}
+
+func TestCopyContentsToRejectsSizeMismatch(t *testing.T) {
+	mem := newMem()
+	src, _ := AllocAddressSpace(mem, 1, 2*hw.PageSize2M, true)
+	dst, _ := AllocAddressSpace(mem, 2, hw.PageSize2M, true)
+	src.WritePage(0, 0, []byte{1})
+	if err := src.CopyContentsTo(dst); err == nil {
+		t.Fatal("copy into a smaller space succeeded")
+	}
+	if err := dst.CopyContentsTo(src); err == nil {
+		t.Fatal("copy into a larger space succeeded")
+	}
+	if got, _ := dst.ReadPage(0, 0, 1); got[0] != 0 {
+		t.Fatal("rejected copy wrote to the destination")
+	}
+}
+
+// BenchmarkCopyContentsTo is the migration content copy of a mostly
+// untouched guest: a 1 GiB huge-page space with a 1024-page working set
+// spread across its chunks, copied into a fresh destination each time
+// as a migration does (so first-touch page allocation is counted).
+func BenchmarkCopyContentsTo(b *testing.B) {
+	const size = 1 << 30
+	src, err := AllocAddressSpace(hw.NewPhysMem(size), 1, size, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte{0x5A}, hw.PageSize4K)
+	for i := uint64(0); i < 1024; i++ {
+		if err := src.WritePage(hw.GFN(i*256+i*37%256), 0, payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+	dstMem := hw.NewPhysMem(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dst, err := AllocAddressSpace(dstMem, 2, size, true)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := src.CopyContentsTo(dst); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := dst.Release(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 	}
 }

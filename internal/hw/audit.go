@@ -15,8 +15,10 @@ type Violation struct {
 	//	"untagged-vm"    a per-VM owner tag carries no VM id at all
 	//	"residue"        a free frame still holds page contents — the
 	//	                 wipe/free discipline was bypassed
-	//	"accounting"     the cached allocation counters disagree with
-	//	                 the ownership array itself
+	//	"accounting"     the cached allocation counters (machine-wide,
+	//	                 per owner, or per chunk) disagree with the
+	//	                 ownership array, or a chunk's data counter
+	//	                 disagrees with the page-contents map
 	Kind  string
 	MFN   MFN
 	Owner Owner
@@ -38,10 +40,11 @@ const auditMaxPerKind = 8
 // ids. Frames tagged with a per-VM owner whose VM id is not in liveVMs
 // are leaks (a dead VM's memory was never freed or retagged); free
 // frames with surviving page contents indicate a bypassed wipe; and the
-// cached counters are recomputed from scratch so any drift in the
-// bookkeeping itself surfaces. Double-ownership within one machine is
-// structurally impossible here (one tag per frame) — cross-VM overlap
-// is audited at the address-space layer, where the mappings live.
+// cached counters, including the per-chunk allocation and data counters,
+// are recomputed from scratch so any drift in the bookkeeping itself
+// surfaces. Double-ownership within one machine is structurally
+// impossible here (one tag per frame) — cross-VM overlap is audited at
+// the address-space layer, where the mappings live.
 //
 // A clean machine returns nil.
 func (pm *PhysMem) AuditOwners(liveVMs map[int]bool) []Violation {
@@ -73,6 +76,7 @@ func (pm *PhysMem) AuditOwners(liveVMs map[int]bool) []Violation {
 
 	var allocated uint64
 	var byOwner [numOwners]uint64
+	cAlloc := make([]uint32, len(pm.uniform))
 	for c := range pm.uniform {
 		base, size := pm.chunkSpan(c)
 		if pm.uniform[c] {
@@ -84,6 +88,7 @@ func (pm *PhysMem) AuditOwners(liveVMs map[int]bool) []Violation {
 				continue
 			}
 			allocated += size
+			cAlloc[c] = uint32(size)
 			bad := false
 			switch o {
 			case OwnerGuest, OwnerVMState, OwnerVMMgmt:
@@ -104,14 +109,18 @@ func (pm *PhysMem) AuditOwners(liveVMs map[int]bool) []Violation {
 				continue
 			}
 			allocated++
+			cAlloc[c]++
 			checkVM(m, o, pm.vm[m])
 		}
 	}
 	// Residue: page contents surviving under a free frame. Walked from
 	// the data map itself (not the chunk counters, which could be the
-	// very thing that drifted), sorted for deterministic output.
+	// very thing that drifted), sorted for deterministic output. The
+	// same walk recounts each chunk's data entries.
 	var residue []MFN
+	cData := make([]uint32, len(pm.uniform))
 	for m := range pm.data {
+		cData[chunkOf(m)]++
 		if o, _ := pm.frameState(m); o == OwnerFree {
 			residue = append(residue, m)
 		}
@@ -129,6 +138,20 @@ func (pm *PhysMem) AuditOwners(liveVMs map[int]bool) []Violation {
 		if byOwner[o] != pm.byOwner[o] && o != OwnerFree {
 			add(Violation{Kind: "accounting", MFN: 0, Owner: o, VM: -1,
 				Detail: fmt.Sprintf("byOwner[%v] counter %d, ownership array says %d", o, pm.byOwner[o], byOwner[o])})
+		}
+	}
+	// Per-chunk counters: the chunk fast paths and the touched-frame scan
+	// trust them, so an undercount of cData would silently drop written
+	// pages from every content copy.
+	for c := range pm.uniform {
+		base, _ := pm.chunkSpan(c)
+		if cAlloc[c] != pm.cAlloc[c] {
+			add(Violation{Kind: "accounting", MFN: base, Owner: OwnerFree, VM: -1,
+				Detail: fmt.Sprintf("chunk %d cAlloc counter %d, ownership array says %d", c, pm.cAlloc[c], cAlloc[c])})
+		}
+		if cData[c] != pm.cData[c] {
+			add(Violation{Kind: "accounting", MFN: base, Owner: OwnerFree, VM: -1,
+				Detail: fmt.Sprintf("chunk %d cData counter %d, data map says %d", c, pm.cData[c], cData[c])})
 		}
 	}
 	// Fixed order: audit output feeds byte-compared replay bundles.

@@ -62,8 +62,12 @@ func TestAuditUntaggedVM(t *testing.T) {
 func TestAuditResidue(t *testing.T) {
 	pm, live := auditMem(t)
 	// Plant contents under a free frame directly: the public API cannot
-	// produce this state — which is exactly what the audit is for.
-	pm.data[MFN(pm.totalFrames-1)] = &page{buf: make([]byte, PageSize4K), refs: 1}
+	// produce this state — which is exactly what the audit is for. A
+	// bypassed wipe leaves the chunk's data counter counting the page, so
+	// the plant keeps it in step and residue is the only fault.
+	m := MFN(pm.totalFrames - 1)
+	pm.data[m] = &page{buf: make([]byte, PageSize4K), refs: 1}
+	pm.cData[chunkOf(m)]++
 	vs := pm.AuditOwners(live)
 	if len(vs) != 1 || vs[0].Kind != "residue" {
 		t.Fatalf("violations = %v", vs)
@@ -82,6 +86,42 @@ func TestAuditAccountingDrift(t *testing.T) {
 	vs = pm.AuditOwners(live)
 	if len(vs) != 1 || vs[0].Kind != "accounting" || vs[0].Owner != OwnerGuest {
 		t.Fatalf("violations = %v", vs)
+	}
+}
+
+// TestAuditChunkCounterDrift: the per-chunk counters are what the chunk
+// fast paths and the touched-frame scan trust — a cData undercount would
+// drop written pages from every content copy without any error — so the
+// audit recounts them.
+func TestAuditChunkCounterDrift(t *testing.T) {
+	pm, live := auditMem(t)
+	mfns, err := pm.Alloc(1, OwnerGuest, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := mfns[0]
+	if err := pm.Write(m, 0, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	c := chunkOf(m)
+	pm.cData[c]-- // simulate a lost increment: the scan would skip m
+	if got := pm.AppendTouched(nil, m, 1); len(got) != 0 {
+		t.Fatalf("scan trusts cData, yet found %v", got)
+	}
+	vs := pm.AuditOwners(live)
+	if len(vs) != 1 || vs[0].Kind != "accounting" || !strings.Contains(vs[0].Detail, "cData") ||
+		vs[0].MFN != MFN(c*chunkFrames) {
+		t.Fatalf("violations = %v", vs)
+	}
+	pm.cData[c]++
+	pm.cAlloc[c]++ // allocation counter drift
+	vs = pm.AuditOwners(live)
+	if len(vs) != 1 || vs[0].Kind != "accounting" || !strings.Contains(vs[0].Detail, "cAlloc") {
+		t.Fatalf("violations = %v", vs)
+	}
+	pm.cAlloc[c]--
+	if vs := pm.AuditOwners(live); vs != nil {
+		t.Fatalf("restored counters still reported %v", vs)
 	}
 }
 

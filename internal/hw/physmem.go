@@ -842,13 +842,33 @@ func (pm *PhysMem) ReadInto(m MFN, off int, dst []byte) error {
 	return nil
 }
 
-// Touched reports whether the frame has ever been written (untouched
-// frames are logically zero and need no migration traffic).
-func (pm *PhysMem) Touched(m MFN) bool {
+// AppendTouched appends to dst, in ascending order, every frame of
+// [start, start+count) that has ever been written, and returns the
+// extended slice. Untouched frames are logically zero and need no
+// migration traffic, so this is the scan behind every content copy. The
+// range is clamped to the machine. It takes pm.mu once for the whole
+// range, skips chunks whose data counter is zero, and stops scanning a
+// chunk once it has found that many frames.
+func (pm *PhysMem) AppendTouched(dst []MFN, start MFN, count uint64) []MFN {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	_, ok := pm.data[m]
-	return ok
+	end := pm.totalFrames
+	if uint64(start) < end && count < end-uint64(start) {
+		end = uint64(start) + count
+	}
+	for f := uint64(start); f < end; {
+		c := chunkOf(MFN(f))
+		base, size := pm.chunkSpan(c)
+		hi := min(uint64(base)+size, end)
+		for left := pm.cData[c]; left > 0 && f < hi; f++ {
+			if _, ok := pm.data[MFN(f)]; ok {
+				dst = append(dst, MFN(f))
+				left--
+			}
+		}
+		f = hi
+	}
+	return dst
 }
 
 // Checksum returns a CRC-64 of the frame's contents. Untouched frames
